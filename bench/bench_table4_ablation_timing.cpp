@@ -3,94 +3,9 @@
 // overhead. Paper shape: average macro-F1 gain ~47%; ORG/MISC gains
 // ~170%+ (vs ~11%/~23% for PER/LOC); the time overhead of Global NER is
 // small relative to Local NER.
-#include <algorithm>
 #include <cstdio>
-#include <cstring>
-#include <thread>
-#include <vector>
 
 #include "bench/bench_util.h"
-#include "common/thread_pool.h"
-
-namespace {
-
-/// Re-runs D1 under several NERGLOB_THREADS settings, checks that every
-/// stage F1 is bit-identical across thread counts (the deterministic
-/// ordered-merge guarantee), and writes the timing sweep to
-/// BENCH_parallel.json.
-void RunParallelSweep(const nerglob::harness::TrainedSystem& system,
-                      const nerglob::harness::BuildOptions& options,
-                      double calibration_seconds) {
-  using namespace nerglob;
-  bench::PrintBanner("Parallel inference sweep (D1, NERGLOB_THREADS = 1/2/4/hw)");
-
-  std::vector<size_t> thread_counts = {1, 2, 4};
-  const size_t hw = std::max<size_t>(1, std::thread::hardware_concurrency());
-  if (std::find(thread_counts.begin(), thread_counts.end(), hw) ==
-      thread_counts.end()) {
-    thread_counts.push_back(hw);
-  }
-
-  struct SweepPoint {
-    size_t threads;
-    double local_seconds;
-    double global_seconds;
-    double stage_f1[4];
-  };
-  std::vector<SweepPoint> points;
-  for (size_t t : thread_counts) {
-    SetParallelism(t);
-    auto run = harness::RunDataset(system, "D1", options.scale);
-    SweepPoint p;
-    p.threads = t;
-    p.local_seconds = run.local_seconds;
-    p.global_seconds = run.global_seconds;
-    for (int s = 0; s < 4; ++s) p.stage_f1[s] = run.stage_scores[s].macro_f1;
-    points.push_back(p);
-    std::printf("  threads=%zu  local %.3fs  global %.3fs  macro-F1 %.4f\n",
-                t, p.local_seconds, p.global_seconds, p.stage_f1[3]);
-  }
-  SetParallelism(0);  // restore the env/hardware default
-
-  bool deterministic = true;
-  for (const SweepPoint& p : points) {
-    for (int s = 0; s < 4; ++s) {
-      // Bit-identical, not merely close: the F1s derive from integer
-      // span-match counts, which only agree exactly if every embedding and
-      // prediction matched across thread counts.
-      if (std::memcmp(&p.stage_f1[s], &points[0].stage_f1[s],
-                      sizeof(double)) != 0) {
-        deterministic = false;
-      }
-    }
-  }
-  std::printf("  determinism across thread counts: %s\n",
-              deterministic ? "PASS (bit-identical stage F1s)"
-                            : "FAIL (stage F1s diverge)");
-
-  std::FILE* json = std::fopen("BENCH_parallel.json", "w");
-  if (json != nullptr) {
-    std::fprintf(json, "{\n  \"dataset\": \"D1\",\n  \"scale\": %.4f,\n",
-                 options.scale);
-    std::fprintf(json, "  \"calibration_seconds\": %.6f,\n",
-                 calibration_seconds);
-    std::fprintf(json, "  \"deterministic\": %s,\n  \"sweep\": [\n",
-                 deterministic ? "true" : "false");
-    for (size_t i = 0; i < points.size(); ++i) {
-      const SweepPoint& p = points[i];
-      std::fprintf(json,
-                   "    {\"threads\": %zu, \"local_seconds\": %.6f, "
-                   "\"global_seconds\": %.6f, \"macro_f1\": %.6f}%s\n",
-                   p.threads, p.local_seconds, p.global_seconds, p.stage_f1[3],
-                   i + 1 < points.size() ? "," : "");
-    }
-    std::fprintf(json, "  ]\n}\n");
-    std::fclose(json);
-    std::printf("  wrote BENCH_parallel.json\n");
-  }
-}
-
-}  // namespace
 
 int main() {
   using namespace nerglob;
@@ -99,11 +14,6 @@ int main() {
   bench::PrintScaleNote(options);
 
   auto system = harness::BuildTrainedSystem(options);
-
-  // Snapshot only the measured runs: training also records metrics (gemm
-  // counters and spans), so clear them once the system is built.
-  const double calibration_seconds = bench::CalibrationSeconds();
-  if (metrics::Enabled()) metrics::MetricsRegistry::Global().ResetAll();
 
   double macro_gain_sum = 0.0;
   double type_gain_sum[text::kNumEntityTypes] = {0, 0, 0, 0};
@@ -162,22 +72,5 @@ int main() {
   std::printf("  shape check: streaming gain > non-streaming gain — %s\n",
               stream_macro_gain > nonstream_macro_gain ? "REPRODUCED"
                                                        : "NOT reproduced");
-
-  RunParallelSweep(system, options, calibration_seconds);
-
-  // With NERGLOB_METRICS=1 the whole measured section above recorded into
-  // the registry; snapshot it for CI's regression gate and artifacts.
-  if (metrics::Enabled()) {
-    if (bench::WriteMetricsSnapshot("BENCH_metrics.json", options.scale,
-                                    calibration_seconds)) {
-      std::printf("\nwrote BENCH_metrics.json (calibration %.3fs)\n",
-                  calibration_seconds);
-    } else {
-      std::printf("\nFAILED to write BENCH_metrics.json\n");
-      return 1;
-    }
-  } else {
-    std::printf("\n(NERGLOB_METRICS unset: no BENCH_metrics.json snapshot)\n");
-  }
   return 0;
 }

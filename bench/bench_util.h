@@ -5,8 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "common/metrics.h"
-#include "common/timer.h"
 #include "eval/metrics.h"
 #include "harness/experiment.h"
 
@@ -55,37 +53,6 @@ inline harness::BuildOptions DefaultBuildOptions() {
 inline void PrintScaleNote(const harness::BuildOptions& options) {
   std::printf("(dataset scale %.2f of paper sizes; set NERGLOB_SCALE=1.0 for "
               "full-size runs)\n", options.scale);
-}
-
-/// Machine-speed unit for the bench-regression gate: wall seconds of a fixed
-/// serial scalar FMA loop. Every BENCH_*.json snapshot embeds its own
-/// calibration, and bench/check_regression.py divides all timings by it
-/// before comparing against the checked-in baselines — so the gate compares
-/// machine-relative slowdowns, not absolute seconds across hardware. The
-/// volatile accumulator forces a load+store per iteration, which keeps the
-/// loop's work identical across compilers and optimization levels.
-inline double CalibrationSeconds() {
-  WallTimer timer;
-  volatile double acc = 0.0;
-  for (int i = 0; i < 20000000; ++i) acc = acc * 0.999999 + 1.0001;
-  return timer.ElapsedSeconds();
-}
-
-/// Serializes the global MetricsRegistry to `path`, wrapped with the scale
-/// and calibration the regression gate needs. Schema: DESIGN.md §8.
-inline bool WriteMetricsSnapshot(const std::string& path, double scale,
-                                 double calibration_seconds) {
-  const std::string inner = metrics::MetricsRegistry::Global().ToJson();
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  std::fprintf(f,
-               "{\n  \"schema\": \"nerglob.metrics.v1\",\n"
-               "  \"scale\": %.4f,\n  \"calibration_seconds\": %.6f,\n"
-               "  \"metrics\": ",
-               scale, calibration_seconds);
-  std::fwrite(inner.data(), 1, inner.size(), f);
-  std::fprintf(f, "\n}\n");
-  return std::fclose(f) == 0;
 }
 
 }  // namespace nerglob::bench

@@ -112,8 +112,8 @@ int main(int argc, char** argv) {
                   : 0.0);
 
   // With NERGLOB_METRICS=1, persist the per-stage histograms and counters
-  // accumulated over the stream (same JSON schema as BENCH_metrics.json's
-  // "metrics" object; see docs/OBSERVABILITY.md).
+  // accumulated over the stream (schema nerglob.metrics.v1; see
+  // docs/OBSERVABILITY.md).
   if (nerglob::metrics::Enabled()) {
     const char* path = "streaming_covid_metrics.json";
     if (nerglob::metrics::MetricsRegistry::Global().WriteJsonFile(path)) {

@@ -66,13 +66,12 @@ struct EncodeKeyHash {
 /// against a per-shard slice of the total budget (EntryBytes counts the
 /// value matrices, the key, and fixed node overhead), oldest-first.
 ///
-/// The process-wide instance is configured by environment knobs, latched
-/// on first use:
-///   NERGLOB_ENCODE_CACHE_MB      total budget in MiB; 0 (default) disables
-///                                the cache entirely — Global() returns
-///                                nullptr and every encode path is
-///                                byte-for-byte the uncached status quo.
-///   NERGLOB_ENCODE_CACHE_SHARDS  shard count (default 8).
+/// The process-wide instance has kGlobalShards shards and a budget set by
+/// one environment knob, latched on first use:
+///   NERGLOB_ENCODE_CACHE_MB  total budget in MiB; 0 (default) disables
+///                            the cache entirely — Global() returns nullptr
+///                            and every encode path is byte-for-byte the
+///                            uncached status quo.
 ///
 /// Observability: lm.encode_cache.{hits,misses,evictions} counters and
 /// lm.encode_cache.{bytes,entries} gauges in the global MetricsRegistry,
@@ -90,6 +89,9 @@ class EncodeCache {
     size_t bytes = 0;
     size_t entries = 0;
   };
+
+  /// Shard count of the process-wide instance: one mutex per shard.
+  static constexpr size_t kGlobalShards = 8;
 
   /// A cache with `budget_bytes` total capacity split across `shards`
   /// LRU shards (both clamped to >= 1).
@@ -126,8 +128,8 @@ class EncodeCache {
   static size_t EntryBytes(const EncodeKey& key, const EncodeResult& value);
 
   /// The process-wide cache, or nullptr when NERGLOB_ENCODE_CACHE_MB=0
-  /// (the default — cache-off is the status quo). Knobs are latched on
-  /// the first call.
+  /// (the default — cache-off is the status quo). The budget knob is
+  /// latched on the first call.
   static EncodeCache* Global();
 
   /// Test hook: overrides Global() (nullptr restores the env-configured

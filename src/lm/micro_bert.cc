@@ -215,14 +215,6 @@ EncodeResult MicroBert::EncodeUncached(
   return out;
 }
 
-std::vector<EncodeResult> MicroBert::EncodeBatch(
-    const std::vector<std::vector<text::Token>>& sentences) const {
-  std::vector<const std::vector<text::Token>*> ptrs;
-  ptrs.reserve(sentences.size());
-  for (const auto& s : sentences) ptrs.push_back(&s);
-  return EncodeMany(ptrs);
-}
-
 std::vector<EncodeResult> MicroBert::EncodeMany(
     const std::vector<const std::vector<text::Token>*>& sentences) const {
   return EncodeMany(sentences, EncodeOptions{});
@@ -233,9 +225,7 @@ std::vector<EncodeResult> MicroBert::EncodeMany(
     const EncodeOptions& options) const {
   std::vector<EncodeResult> out(sentences.size());
   EncodeCache* const cache =
-      !options.use_cache ? nullptr
-      : options.cache_override != nullptr ? options.cache_override
-                                          : EncodeCache::Global();
+      options.use_cache ? EncodeCache::Global() : nullptr;
   if (!options.dedup && cache == nullptr) {
     // Reference path: one full encode per lane, exactly the pre-cache
     // behavior.

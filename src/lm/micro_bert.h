@@ -52,9 +52,6 @@ struct EncodeOptions {
   /// Consult the process-wide EncodeCache (a no-op unless
   /// NERGLOB_ENCODE_CACHE_MB enables one).
   bool use_cache = true;
-  /// Tests/benches: use this cache instead of EncodeCache::Global().
-  /// Ignored when use_cache is false.
-  EncodeCache* cache_override = nullptr;
 };
 
 /// A from-scratch transformer encoder with a BIO token-classification head:
@@ -83,13 +80,6 @@ class MicroBert : public nn::Module {
   /// enabled (NERGLOB_ENCODE_CACHE_MB > 0); a hit returns a copy of the
   /// cached bytes, bit-identical to a recompute.
   EncodeResult Encode(const std::vector<text::Token>& tokens) const;
-
-  /// Encodes many sentences, one per ParallelFor lane over the shared
-  /// thread pool. Results keep input order; empty sentences are skipped and
-  /// left as default EncodeResult. Output is bit-identical for any
-  /// NERGLOB_THREADS setting.
-  std::vector<EncodeResult> EncodeBatch(
-      const std::vector<std::vector<text::Token>>& sentences) const;
 
   /// Batched entry point for callers that gather sentences from many
   /// owners (the serve-layer cross-session scheduler): encodes each

@@ -37,12 +37,6 @@ const Matrix& Linear::TransposedWeight() const {
   return cache.value;
 }
 
-Matrix Linear::Apply(const Matrix& x) const {
-  Matrix out;
-  ApplyInto(x, &out);
-  return out;
-}
-
 void Linear::ApplyInto(const Matrix& x, Matrix* out) const {
   const Matrix& w = weight_.value();
   const Matrix& b = bias_.value();
@@ -83,12 +77,6 @@ void LayerNorm::ApplyInto(const Matrix& x, Matrix* out) const {
   // 1e-5f is the ag::LayerNormRows default; the eval mirror must match it
   // for bit-identity with Forward(...).value().
   LayerNormRowsInto(x, gamma_.value(), beta_.value(), /*eps=*/1e-5f, out);
-}
-
-Matrix LayerNorm::Apply(const Matrix& x) const {
-  Matrix out;
-  ApplyInto(x, &out);
-  return out;
 }
 
 BatchNorm1d::BatchNorm1d(size_t dim, float momentum, float eps)
@@ -160,12 +148,6 @@ ag::Var Mlp::Forward(const ag::Var& x) const {
     if (i + 1 < layers_.size()) h = ag::Relu(h);
   }
   return h;
-}
-
-Matrix Mlp::Apply(const Matrix& x) const {
-  Matrix out;
-  ApplyInto(x, &out, &common::ScratchArena::ThreadLocal());
-  return out;
 }
 
 void Mlp::ApplyInto(const Matrix& x, Matrix* out,

@@ -24,14 +24,12 @@ class Linear : public Module {
   /// x: (m, in) -> (m, out). Builds graph nodes (training / autograd path).
   ag::Var Forward(const ag::Var& x) const;
 
-  /// Raw inference path: same math as Forward but no graph nodes (the
-  /// SIMD gemm kernel handles every shape, including single rows, so this
-  /// is bit-identical to Forward(...).value() everywhere). Safe to call
-  /// concurrently from ParallelFor bodies.
-  Matrix Apply(const Matrix& x) const;
-
-  /// Apply with a caller-owned output (capacity reused; zero allocations
-  /// at steady state when `out` is a scratch-arena slot).
+  /// Raw inference path into a caller-owned output: same math as Forward
+  /// but no graph nodes (the SIMD gemm kernel handles every shape,
+  /// including single rows, so this is bit-identical to
+  /// Forward(...).value() everywhere). Capacity is reused, so there are
+  /// zero allocations at steady state when `out` is a scratch-arena slot.
+  /// Safe to call concurrently from ParallelFor bodies.
   void ApplyInto(const Matrix& x, Matrix* out) const;
 
   std::vector<ag::Var> Parameters() const override { return {weight_, bias_}; }
@@ -90,7 +88,6 @@ class LayerNorm : public Module {
   /// Graph-free eval path, bit-identical to Forward(...).value() (same
   /// double row statistics, same eps as ag::LayerNormRows).
   void ApplyInto(const Matrix& x, Matrix* out) const;
-  Matrix Apply(const Matrix& x) const;
 
   std::vector<ag::Var> Parameters() const override { return {gamma_, beta_}; }
 
@@ -134,12 +131,10 @@ class Mlp : public Module {
 
   ag::Var Forward(const ag::Var& x) const;
 
-  /// Raw inference path mirroring Forward (Linear::Apply + ReLU between
-  /// layers, linear last); no graph nodes, thread-safe.
-  Matrix Apply(const Matrix& x) const;
-
-  /// Apply with caller-owned output and explicit scratch arena for the
-  /// hidden activations (ping-pong buffers inside one ScratchFrame).
+  /// Raw inference path mirroring Forward (Linear::ApplyInto + ReLU
+  /// between layers, linear last); no graph nodes, thread-safe. The hidden
+  /// activations live in `scratch` (ping-pong buffers inside one
+  /// ScratchFrame).
   void ApplyInto(const Matrix& x, Matrix* out,
                  common::ScratchArena* scratch) const;
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
+#include <stdexcept>
 #include <utility>
 
 #include "common/env.h"
@@ -17,8 +18,8 @@
 namespace nerglob::serve {
 namespace {
 
-// 1-2-5 steps from 1us to 50s: finer than the decade-wide default so the
-// enqueue-to-complete percentiles bench_serve derives are meaningful.
+// 1-2-5 steps from 1us to 50s: finer than the decade-wide default so
+// enqueue-to-complete percentiles read off the histogram are meaningful.
 std::vector<double> LatencyBounds() {
   std::vector<double> bounds;
   for (double decade = 1e-6; decade < 20.0; decade *= 10.0) {
@@ -362,9 +363,41 @@ void SessionManager::SchedulerLoop() {
         }
       }
       std::vector<lm::EncodeResult> encoded;
-      {
+      // A throw escaping this thread would std::terminate the fleet. A
+      // failed round instead quarantines exactly the sessions it carried,
+      // as the worker path does for one session.
+      std::string failure;
+      try {
+        if (fault::InjectFault(fault::kSiteServeEncode)) {
+          throw std::runtime_error("injected fault at serve.encode");
+        }
         trace::TraceSpan span(kServeEncodeStage);
         encoded = bundle_->model().EncodeMany(sentences);
+      } catch (const std::exception& e) {
+        failure = std::string("encode round failed: ") + e.what();
+      } catch (...) {
+        failure = "unknown exception in EncodeMany";
+      }
+      if (!failure.empty()) {
+        for (Gathered& g : gathered) {
+          QuarantineSession(g.item.entry, failure.c_str());
+          {
+            std::lock_guard<std::mutex> lock(g.shard->mu);
+            --g.shard->in_flight;
+            if (DepthLocked(*g.shard) <= low_watermark_) {
+              g.shard->overloaded = false;
+            }
+            g.shard->depth_gauge->Set(
+                static_cast<double>(DepthLocked(*g.shard)));
+          }
+          {
+            std::lock_guard<std::mutex> drain_lock(drain_mu_);
+            --pending_;
+            --g.item.entry->pending;
+          }
+        }
+        drain_cv_.notify_all();
+        continue;
       }
       if (metrics::Enabled()) {
         batch_occupancy_gauge_->Set(static_cast<double>(gathered.size()));

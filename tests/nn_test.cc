@@ -37,10 +37,12 @@ TEST(LinearTest, ApplyMatchesForwardBitForBit) {
   // gone); both batch and row inputs must reproduce the autograd value
   // exactly.
   Matrix batch = Matrix::Randn(5, 16, 1.0f, &rng);
-  EXPECT_EQ(lin.Apply(batch),
-            lin.Forward(ag::Constant(batch)).value());
+  Matrix out;
+  lin.ApplyInto(batch, &out);
+  EXPECT_EQ(out, lin.Forward(ag::Constant(batch)).value());
   Matrix row = Matrix::Randn(1, 16, 1.0f, &rng);
-  EXPECT_EQ(lin.Apply(row), lin.Forward(ag::Constant(row)).value());
+  lin.ApplyInto(row, &out);
+  EXPECT_EQ(out, lin.Forward(ag::Constant(row)).value());
 }
 
 TEST(LayerNormTest, ApplyMatchesForwardBitForBit) {
@@ -50,7 +52,9 @@ TEST(LayerNormTest, ApplyMatchesForwardBitForBit) {
   ln.Parameters()[0].mutable_value() = Matrix::Randn(1, 12, 1.0f, &rng);
   ln.Parameters()[1].mutable_value() = Matrix::Randn(1, 12, 0.5f, &rng);
   Matrix x = Matrix::Randn(5, 12, 2.0f, &rng);
-  EXPECT_EQ(ln.Apply(x), ln.Forward(ag::Constant(x)).value());
+  Matrix out;
+  ln.ApplyInto(x, &out);
+  EXPECT_EQ(out, ln.Forward(ag::Constant(x)).value());
 }
 
 TEST(AttentionTest, ApplyIntoMatchesForwardBitForBit) {
@@ -107,7 +111,9 @@ TEST(MlpTest, ApplyMatchesForwardBitForBit) {
   Rng rng(9);
   Mlp mlp({12, 10, 10, 5}, &rng);
   Matrix x = Matrix::Randn(6, 12, 1.0f, &rng);
-  EXPECT_EQ(mlp.Apply(x), mlp.Forward(ag::Constant(x)).value());
+  Matrix out;
+  mlp.ApplyInto(x, &out, &common::ScratchArena::ThreadLocal());
+  EXPECT_EQ(out, mlp.Forward(ag::Constant(x)).value());
 }
 
 TEST(EmbeddingTest, LookupAndGradient) {
