@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
-"""Docs gate: broken links, broken anchors, and stale knob references.
+"""Docs gate: broken links, broken anchors, stale knobs and metric names.
 
 Usage:
     check_docs.py [ROOT]
 
-Three checks over every tracked ``*.md`` file under ROOT (default: the
+Four checks over the tracked ``*.md`` files under ROOT (default: the
 repo root, i.e. the parent of this script's directory):
 
 1. **Relative links** — every ``[text](target)`` / ``![alt](target)``
@@ -19,6 +19,13 @@ repo root, i.e. the parent of this script's directory):
    the README's operations table must actually appear in the source tree
    (``src/``, ``bench/``, ``examples/``, ``tests/``), so the "single
    reference table" can never drift from the code.
+4. **Metric catalog** — every literal name passed to ``GetCounter`` /
+   ``GetGauge`` / ``GetHistogram`` under ``src/``, and every
+   ``TraceStage x("s")`` as ``stage.s``, must appear backticked in
+   ``docs/OBSERVABILITY.md``; and every backticked ``serve.*`` /
+   ``stage.*`` name in the first cell of one of that file's table rows
+   must be registered under ``src/`` (names with ``<k>``/``<s>``
+   placeholders are skipped).
 
 Stdlib-only on purpose: CI runs it before anything is built.
 """
@@ -42,6 +49,14 @@ EXTERNAL_PREFIXES = ("http://", "https://", "mailto:", "ftp://")
 
 KNOB_SOURCE_DIRS = ("src", "bench", "examples", "tests")
 KNOB_SOURCE_SUFFIXES = {".cc", ".h", ".py", ".cmake", ".txt", ".yml"}
+
+# A metric registered under a literal name: GetCounter("a.b") etc. (the
+# closing [,)] skips concatenations such as "stage." + name).
+METRIC_CALL_RE = re.compile(
+    r'\bGet(?:Counter|Gauge|Histogram)\(\s*"([^"]+)"\s*[,)]')
+TRACE_STAGE_RE = re.compile(r'\bTraceStage\s+\w+\(\s*"([^"]+)"\s*\)')
+BACKTICK_RE = re.compile(r"`([^`]+)`")
+OBSERVABILITY_DOC = pathlib.Path("docs") / "OBSERVABILITY.md"
 
 
 def markdown_files(root: pathlib.Path):
@@ -183,6 +198,58 @@ def check_knob_table(root: pathlib.Path):
     return errors
 
 
+def registered_metrics(root: pathlib.Path) -> dict:
+    """Literal metric and trace-stage names under src/, mapped to the
+    first file that registers each. Comments are stripped first so usage
+    examples in doc comments do not count."""
+    names = {}
+    for path in sorted((root / "src").rglob("*")):
+        if path.suffix not in {".cc", ".h"} or not path.is_file():
+            continue
+        text = re.sub(r"//[^\n]*", "",
+                      path.read_text(encoding="utf-8", errors="ignore"))
+        rel = str(path.relative_to(root))
+        for match in METRIC_CALL_RE.finditer(text):
+            names.setdefault(match.group(1), rel)
+        for match in TRACE_STAGE_RE.finditer(text):
+            names.setdefault("stage." + match.group(1), rel)
+    return names
+
+
+def check_metric_catalog(root: pathlib.Path):
+    doc = root / OBSERVABILITY_DOC
+    if not doc.exists():
+        return [f"{OBSERVABILITY_DOC}: missing"]
+    documented = set()
+    rows = []  # (lineno, name) of serve.*/stage.* names in a row's first cell
+    in_fence = False
+    lines = doc.read_text(encoding="utf-8").splitlines()
+    for lineno, line in enumerate(lines, start=1):
+        if line.lstrip().startswith("```"):
+            in_fence = not in_fence
+            continue
+        if in_fence:
+            continue
+        documented.update(BACKTICK_RE.findall(line))
+        cells = line.strip().split("|")
+        if len(cells) > 2 and cells[0] == "":
+            for name in BACKTICK_RE.findall(cells[1]):
+                if name.startswith(("serve.", "stage.")) and "<" not in name:
+                    rows.append((lineno, name))
+    registered = registered_metrics(root)
+    errors = []
+    for name, path in sorted(registered.items()):
+        if name not in documented:
+            errors.append(f"{path}: metric `{name}` is registered but not "
+                          f"documented in {OBSERVABILITY_DOC}")
+    for lineno, name in rows:
+        if name not in registered:
+            errors.append(f"{OBSERVABILITY_DOC}:{lineno}: `{name}` is "
+                          f"documented but registered nowhere under src/ "
+                          f"— stale row?")
+    return errors
+
+
 def main(argv):
     root = pathlib.Path(argv[1]) if len(argv) > 1 else \
         pathlib.Path(__file__).resolve().parent.parent
@@ -195,15 +262,15 @@ def main(argv):
             failures += 1
             print(f"{path.relative_to(root)}:{lineno}: broken link "
                   f"'{target}' ({why})")
-    for message in check_knob_table(root):
+    for message in check_knob_table(root) + check_metric_catalog(root):
         failures += 1
         print(message)
     if failures:
         print(f"FAIL: {failures} problem(s) across {total_files} "
               f"markdown file(s)")
         return 1
-    print(f"OK: links, anchors, and the README knob table check out "
-          f"across {total_files} markdown file(s)")
+    print(f"OK: links, anchors, the README knob table and the metric "
+          f"catalog check out across {total_files} markdown file(s)")
     return 0
 
 

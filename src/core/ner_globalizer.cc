@@ -118,19 +118,6 @@ Status NerGlobalizer::Restore(io::TensorReader* reader) {
 }
 
 void NerGlobalizer::ProcessBatch(const std::vector<stream::Message>& batch) {
-  RunStages(batch, {}, /*pre_encoded=*/false);
-}
-
-void NerGlobalizer::ProcessBatchPreEncoded(
-    const std::vector<stream::Message>& batch,
-    std::vector<lm::EncodeResult> encoded) {
-  NERGLOB_CHECK_EQ(encoded.size(), batch.size());
-  RunStages(batch, std::move(encoded), /*pre_encoded=*/true);
-}
-
-void NerGlobalizer::RunStages(const std::vector<stream::Message>& batch,
-                              std::vector<lm::EncodeResult> encoded,
-                              bool pre_encoded) {
   static const trace::TraceStage kStage("process_batch");
   trace::TraceSpan batch_span(kStage);
   WallTimer batch_timer;
@@ -139,14 +126,9 @@ void NerGlobalizer::RunStages(const std::vector<stream::Message>& batch,
   stages::StageContext ctx;
   ctx.config = &config_;
   ctx.batch = &batch;
-  ctx.encoded = std::move(encoded);
-  ctx.pre_encoded = pre_encoded;
 
   // The local/global split (Table IV's execution-time columns): LocalEncode
   // + IngestLocal are the Local NER step, everything after is Global NER.
-  // A pre-encoded batch charges only the ingest here — its encode time was
-  // spent (and attributed to serve_encode) by the batching caller. One
-  // local_ner span per batch, whichever path ran (pipeline_test pins this).
   WallTimer local_timer;
   {
     static const trace::TraceStage kLocalStage("local_ner");

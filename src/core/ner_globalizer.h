@@ -78,16 +78,6 @@ class NerGlobalizer {
   /// the stream has seen in total.
   void ProcessBatch(const std::vector<stream::Message>& batch);
 
-  /// ProcessBatch with the LocalEncode stage's work supplied by the caller:
-  /// `encoded[i]` must be bitwise what model->Encode(batch[i].tokens) would
-  /// return (default-constructed for empty messages) — the contract
-  /// lm::MicroBert::EncodeMany provides for any cross-session batch
-  /// composition. This is the serve-layer batch scheduler's entry point;
-  /// all downstream state evolves bit-identically to ProcessBatch
-  /// (enforced by test).
-  void ProcessBatchPreEncoded(const std::vector<stream::Message>& batch,
-                              std::vector<lm::EncodeResult> encoded);
-
   /// Convenience: processes `messages` in batches of `batch_size`.
   /// `batch_size == 0` (the default) uses config().process_batch_size.
   void ProcessAll(const std::vector<stream::Message>& messages,
@@ -156,11 +146,6 @@ class NerGlobalizer {
   const NerGlobalizerConfig& config() const { return config_; }
 
  private:
-  /// The stage-graph driver behind both ProcessBatch entry points. When
-  /// `pre_encoded`, `encoded` is consumed as the LocalEncode product.
-  void RunStages(const std::vector<stream::Message>& batch,
-                 std::vector<lm::EncodeResult> encoded, bool pre_encoded);
-
   const lm::MicroBert* model_;
   const PhraseEmbedder* embedder_;
   const EntityClassifier* classifier_;

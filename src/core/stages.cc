@@ -293,7 +293,6 @@ std::vector<text::EntitySpan> ResolveOverlaps(std::vector<text::EntitySpan> span
 
 void LocalEncode(const ModelView& view, StreamState& state, StageContext& ctx) {
   (void)state;  // model-only by contract: the encoder reads no stream state
-  if (ctx.pre_encoded) return;
   std::vector<const std::vector<text::Token>*> sentences;
   sentences.reserve(ctx.batch->size());
   for (const stream::Message& message : *ctx.batch) {

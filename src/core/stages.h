@@ -29,11 +29,10 @@ namespace nerglob::core::stages {
 /// one load-bearing property: **LocalEncode is the only stage that runs the
 /// expensive encoder forward, and it touches neither the StreamState nor
 /// the StageContext's cross-stage products** — its output is a pure
-/// function of (model, message tokens). That makes it batchable across
-/// sessions: serve::SessionManager's scheduler runs LocalEncode's work for
-/// many sessions in one lm::MicroBert::EncodeMany call and injects the
-/// results via StageContext::pre_encoded, and every downstream stage is
-/// bitwise unaffected (enforced by pipeline_test and serve_test).
+/// function of (model, message tokens). That is what lets EncodeMany dedup
+/// repeated sentences and the process-wide lm::EncodeCache serve repeats
+/// (across batches and across sessions) with every downstream stage
+/// bitwise unaffected.
 ///
 /// The issue's nominal signature takes `const ModelBundle&`; stages take a
 /// ModelView instead because NerGlobalizer also supports construction from
@@ -56,14 +55,8 @@ struct StageContext {
   const std::vector<stream::Message>* batch = nullptr;
 
   /// LocalEncode product: encoded[i] is the encoder output for
-  /// (*batch)[i].tokens (default-constructed for empty messages). When
-  /// `pre_encoded` is set the driver injected these results (the serve
-  /// cross-session batch scheduler) and LocalEncode is a no-op; the
-  /// contract is that injected entries are bitwise equal to what
-  /// model->Encode would produce, which EncodeMany guarantees for any
-  /// batch composition.
+  /// (*batch)[i].tokens (default-constructed for empty messages).
   std::vector<lm::EncodeResult> encoded;
-  bool pre_encoded = false;
 
   /// IngestLocal products.
   std::vector<LocalNer::Output> outputs;
@@ -79,7 +72,7 @@ struct StageContext {
 /// Stage 1 — the per-message, model-only stage: runs the encoder forward
 /// for every message in ctx.batch into ctx.encoded (via EncodeMany, so the
 /// results are bitwise independent of how messages are batched). Reads no
-/// StreamState; writes none. No-op when ctx.pre_encoded.
+/// StreamState; writes none.
 void LocalEncode(const ModelView& view, StreamState& state, StageContext& ctx);
 
 /// Stage 2 — serial ingest of the encode results, in stream order:

@@ -236,7 +236,8 @@ bool TensorReader::Take(void* bytes, size_t n) {
         path_.c_str(), n, payload_.size() - cursor_)));
     return false;
   }
-  std::memcpy(bytes, payload_.data() + cursor_, n);
+  // An empty matrix passes a null destination; memcpy(nullptr, _, 0) is UB.
+  if (n > 0) std::memcpy(bytes, payload_.data() + cursor_, n);
   cursor_ += n;
   return true;
 }

@@ -46,8 +46,7 @@ struct EncodeResult {
 struct EncodeOptions {
   /// Encode each distinct (key-equal) sentence in the batch once and fan
   /// copies out to its duplicates. Pays off even with the cache disabled —
-  /// retweet-heavy batches, and especially the serve-layer cross-session
-  /// scheduler, routinely carry duplicate sentences.
+  /// retweet-heavy batches routinely carry duplicate sentences.
   bool dedup = true;
   /// Consult the process-wide EncodeCache (a no-op unless
   /// NERGLOB_ENCODE_CACHE_MB enables one).
@@ -81,8 +80,7 @@ class MicroBert : public nn::Module {
   /// cached bytes, bit-identical to a recompute.
   EncodeResult Encode(const std::vector<text::Token>& tokens) const;
 
-  /// Batched entry point for callers that gather sentences from many
-  /// owners (the serve-layer cross-session scheduler): encodes each
+  /// Batched entry point (the pipeline's LocalEncode stage): encodes each
   /// pointed-to sentence via the same scratch-arena Encode path, one per
   /// ParallelFor lane. Because every sentence runs the full per-sentence op
   /// sequence independently (no cross-sentence packing or padding state),

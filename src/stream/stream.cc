@@ -191,8 +191,11 @@ Status TweetBase::Load(io::TensorReader* reader) {
     rec.mentions.resize(n);
     for (DetectedMention& m : rec.mentions) {
       uint64_t begin = 0, end = 0;
+      // The span must lie inside its message: downstream stages index
+      // the message's tokens and embedding rows with it unchecked.
       if (!reader->GetU64(&begin) || !reader->GetU64(&end) ||
-          !GetEntityType(reader, &m.type)) {
+          !GetEntityType(reader, &m.type) || begin >= end ||
+          end > rec.message.tokens.size()) {
         return fail("mention");
       }
       m.begin_token = begin;

@@ -30,23 +30,6 @@ bool StreamingSession::ProcessBatch(const std::vector<Message>& batch) {
   messages_ += batch.size();
   ++batches_;
   pipeline_.ProcessBatch(batch);
-  CollectBatchResults(batch.size());
-  return true;
-}
-
-bool StreamingSession::ProcessBatchPreEncoded(
-    const std::vector<Message>& batch,
-    std::vector<lm::EncodeResult> encoded) {
-  if (batch.empty()) return false;
-  flushed_ = false;
-  messages_ += batch.size();
-  ++batches_;
-  pipeline_.ProcessBatchPreEncoded(batch, std::move(encoded));
-  CollectBatchResults(batch.size());
-  return true;
-}
-
-void StreamingSession::CollectBatchResults(size_t batch_messages) {
   // Drain eviction checkpoints in stream order.
   for (core::FinalizedMessage& f : pipeline_.TakeFinalized()) {
     finalized_.push_back(std::move(f));
@@ -58,8 +41,9 @@ void StreamingSession::CollectBatchResults(size_t batch_messages) {
     static metrics::Counter* const messages =
         registry.GetCounter("stream.messages_total");
     batches->Increment();
-    messages->Increment(batch_messages);
+    messages->Increment(batch.size());
   }
+  return true;
 }
 
 StreamingRunStats StreamingSession::Run(StreamSource* source) {
@@ -160,7 +144,7 @@ Status StreamingSession::RestoreFrom(io::TensorReader* reader_ptr) {
       uint64_t begin = 0, end = 0;
       uint32_t type = 0;
       if (!reader.GetU64(&begin) || !reader.GetU64(&end) ||
-          !reader.GetU32(&type) ||
+          !reader.GetU32(&type) || begin >= end ||
           type >= static_cast<uint32_t>(text::kNumEntityTypes)) {
         return fail("finalized span");
       }

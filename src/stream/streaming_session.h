@@ -82,15 +82,6 @@ class StreamingSession {
   /// source, so `Step(&s)` is exactly `ProcessBatch(s.NextBatch())`.
   bool ProcessBatch(const std::vector<Message>& batch);
 
-  /// ProcessBatch with the encoder stage's results supplied by the caller
-  /// (serve::SessionManager's cross-session batch scheduler). `encoded[i]`
-  /// must be bitwise what the bundle's model would produce for
-  /// `batch[i].tokens` — lm::MicroBert::EncodeMany guarantees this for any
-  /// batch composition — so the session's state and finalized output stay
-  /// byte-identical to the unbatched path (enforced by serve_test).
-  bool ProcessBatchPreEncoded(const std::vector<Message>& batch,
-                              std::vector<lm::EncodeResult> encoded);
-
   /// Drives the source to exhaustion, then Flush()es the remaining live
   /// window. Returns the aggregate stats.
   StreamingRunStats Run(StreamSource* source);
@@ -145,10 +136,6 @@ class StreamingSession {
   core::NerGlobalizer& pipeline() { return pipeline_; }
 
  private:
-  /// Shared post-processing of both ProcessBatch flavors: drains the
-  /// pipeline's finalized buffer and records stream metrics.
-  void CollectBatchResults(size_t batch_messages);
-
   core::NerGlobalizer pipeline_;
   std::vector<core::FinalizedMessage> finalized_;
   size_t batches_ = 0;

@@ -93,48 +93,6 @@ TEST_F(PipelineTest, IncrementalMatchesSingleBatch) {
   EXPECT_EQ(differing, 0u);
 }
 
-TEST_F(PipelineTest, PreEncodedBatchesMatchProcessBatchBitwise) {
-  // The stage-graph split (core/stages.h): running LocalEncode externally
-  // via EncodeMany and feeding the results to ProcessBatchPreEncoded must
-  // evolve the stream state bit-identically to plain ProcessBatch — the
-  // contract the serve batch scheduler is built on. Checked at every
-  // ablation stage, windowed so eviction runs too.
-  auto messages = Dataset("D1");
-  const size_t batch = 16;
-  const size_t window = messages.size() / 3;
-  auto plain = MakePipeline(window);
-  auto pre_encoded = MakePipeline(window);
-  for (size_t begin = 0; begin < messages.size(); begin += batch) {
-    const size_t end = std::min(messages.size(), begin + batch);
-    const std::vector<stream::Message> slice(
-        messages.begin() + static_cast<ptrdiff_t>(begin),
-        messages.begin() + static_cast<ptrdiff_t>(end));
-    plain.ProcessBatch(slice);
-    std::vector<const std::vector<text::Token>*> sentences;
-    for (const stream::Message& message : slice) {
-      sentences.push_back(&message.tokens);
-    }
-    pre_encoded.ProcessBatchPreEncoded(
-        slice, system_->bundle.model().EncodeMany(sentences));
-  }
-  for (int s = 0; s < 4; ++s) {
-    const auto stage = static_cast<core::PipelineStage>(s);
-    const auto a = plain.Predictions(stage);
-    const auto b = pre_encoded.Predictions(stage);
-    ASSERT_EQ(a.size(), b.size()) << core::PipelineStageName(stage);
-    for (size_t m = 0; m < a.size(); ++m) {
-      EXPECT_TRUE(a[m] == b[m])
-          << core::PipelineStageName(stage) << " message " << m;
-    }
-  }
-  auto fa = plain.TakeFinalized();
-  auto fb = pre_encoded.TakeFinalized();
-  ASSERT_EQ(fa.size(), fb.size());
-  for (size_t i = 0; i < fa.size(); ++i) {
-    EXPECT_TRUE(fa[i] == fb[i]) << "finalized " << i;
-  }
-}
-
 TEST_F(PipelineTest, PredictionsAreNonOverlappingWithinSentence) {
   auto messages = Dataset("D3");
   auto pipeline = MakePipeline();

@@ -11,7 +11,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/fault_injector.h"
 #include "harness/experiment.h"
 #include "serve/session_manager.h"
 #include "stream/message.h"
@@ -155,161 +154,6 @@ TEST_F(ServeTest, ConcurrentSessionsMatchSequentialReplay) {
   EXPECT_EQ(stats.processed_batches, total_batches);
   EXPECT_EQ(stats.processed_messages, kSessions * messages.size());
   EXPECT_EQ(stats.open_sessions, kSessions);
-}
-
-TEST_F(ServeTest, BatchedEncodingMatchesUnbatchedByteForByte) {
-  // batch_encode on: the cross-session scheduler runs every session's
-  // LocalEncode stage inside shared EncodeMany rounds whose composition
-  // depends on thread timing — yet each session's finalized stream must
-  // stay byte-identical to its own solo, unbatched replay.
-  auto messages = Dataset("D2");
-  const size_t window = messages.size() / 4;
-  const size_t batch_size = 8;
-  constexpr size_t kSessions = 5;
-
-  std::vector<std::vector<std::vector<stream::Message>>> per_session;
-  for (size_t s = 0; s < kSessions; ++s) {
-    per_session.push_back(Batches(Rotate(messages, s * 13 + 3), batch_size));
-  }
-
-  serve::SessionManagerConfig config = ManagerConfig(4, window);
-  config.batch_encode = true;
-  serve::SessionManager manager(&system_->bundle, config);
-  ASSERT_TRUE(manager.batch_encode());
-  std::vector<std::string> ids;
-  for (size_t s = 0; s < kSessions; ++s) {
-    ids.push_back("batched-" + std::to_string(s));
-    ASSERT_TRUE(manager.Open(ids.back()).ok());
-  }
-
-  std::vector<std::thread> clients;
-  for (size_t t = 0; t < 2; ++t) {
-    clients.emplace_back([&, t] {
-      for (size_t s = t; s < kSessions; s += 2) {
-        SubmitAll(&manager, ids[s], per_session[s]);
-      }
-    });
-  }
-  for (std::thread& t : clients) t.join();
-  manager.FlushAll();
-
-  for (size_t s = 0; s < kSessions; ++s) {
-    auto got = manager.TakeFinalized(ids[s]);
-    ASSERT_TRUE(got.ok()) << got.status().ToString();
-    auto want = SequentialReplay(per_session[s], window);
-    ASSERT_EQ(got->size(), want.size()) << ids[s];
-    for (size_t i = 0; i < want.size(); ++i) {
-      EXPECT_TRUE((*got)[i] == want[i]) << ids[s] << " message " << i;
-    }
-  }
-
-  const serve::SessionManagerStats stats = manager.stats();
-  uint64_t total_batches = 0;
-  for (const auto& batches : per_session) total_batches += batches.size();
-  EXPECT_EQ(stats.processed_batches, total_batches);
-  EXPECT_EQ(stats.processed_messages, kSessions * messages.size());
-}
-
-TEST_F(ServeTest, BatchedEncodeFaultQuarantinesOnlyThatRound) {
-  // A throw from the scheduler's EncodeMany must not escape its thread
-  // (that would std::terminate the fleet). serve.encode:1 fails the first
-  // round: exactly the sessions whose batches it carried are quarantined,
-  // and every other session — including one queued behind a failed batch
-  // on the same shard — stays byte-identical to its solo replay.
-  auto messages = Dataset("D2");
-  const size_t window = messages.size() / 4;
-  serve::SessionManagerConfig config = ManagerConfig(4, window);
-  config.batch_encode = true;
-  serve::SessionManager manager(&system_->bundle, config);
-
-  // Two poisoned sessions on different shards, so the first round gathers
-  // both; `neighbor` shares poisoned_a's shard, so its first batch waits
-  // for the second round.
-  const std::string poisoned_a = "tenant-0";
-  std::string poisoned_b, neighbor, healthy;
-  for (int i = 1; poisoned_b.empty() || neighbor.empty() || healthy.empty();
-       ++i) {
-    const std::string id = "tenant-" + std::to_string(i);
-    if (manager.ShardOf(id) == manager.ShardOf(poisoned_a)) {
-      if (neighbor.empty()) neighbor = id;
-    } else if (poisoned_b.empty()) {
-      poisoned_b = id;
-    } else if (healthy.empty()) {
-      healthy = id;
-    }
-  }
-  const std::vector<std::string> ids = {poisoned_a, poisoned_b, neighbor,
-                                        healthy};
-  std::vector<std::vector<std::vector<stream::Message>>> per_session;
-  for (size_t s = 0; s < ids.size(); ++s) {
-    per_session.push_back(Batches(Rotate(messages, s * 11 + 2), 8));
-    ASSERT_TRUE(manager.Open(ids[s]).ok());
-  }
-
-  manager.Pause();  // the scheduler gathers nothing until Resume
-  ASSERT_TRUE(manager.Submit(poisoned_a, per_session[0][0]).ok());
-  ASSERT_TRUE(manager.Submit(poisoned_b, per_session[1][0]).ok());
-  ASSERT_TRUE(manager.Submit(neighbor, per_session[2][0]).ok());
-  auto& injector = fault::FaultInjector::Global();
-  ASSERT_TRUE(injector.ArmFromSpec("serve.encode:1").ok());
-  manager.Resume();
-  manager.Drain();  // returns: the failed round released its pending count
-  EXPECT_EQ(injector.InjectedCount(fault::kSiteServeEncode), 1u);
-  injector.Disarm();
-
-  EXPECT_EQ(manager.stats().quarantined_sessions, 2u);
-  for (size_t s = 0; s < 2; ++s) {
-    EXPECT_EQ(manager.Submit(ids[s], per_session[s][1]).code(),
-              StatusCode::kDataLoss);
-    EXPECT_EQ(manager.TakeFinalized(ids[s]).status().code(),
-              StatusCode::kDataLoss);
-  }
-
-  SubmitAll(&manager, neighbor,
-            {per_session[2].begin() + 1, per_session[2].end()});
-  SubmitAll(&manager, healthy, per_session[3]);
-  manager.FlushAll();
-  for (size_t s = 2; s < ids.size(); ++s) {
-    auto got = manager.TakeFinalized(ids[s]);
-    ASSERT_TRUE(got.ok()) << got.status().ToString();
-    auto want = SequentialReplay(per_session[s], window);
-    ASSERT_EQ(got->size(), want.size()) << ids[s];
-    for (size_t i = 0; i < want.size(); ++i) {
-      EXPECT_TRUE((*got)[i] == want[i]) << ids[s] << " message " << i;
-    }
-  }
-  EXPECT_EQ(manager.stats().processed_batches,
-            per_session[2].size() + per_session[3].size());
-}
-
-TEST_F(ServeTest, BatchedBackpressureCountsWholeBacklog) {
-  // In batched mode a shard's backlog spans three places (queue, being
-  // encoded, ready); admission control and QueueDepth must see all of it,
-  // and the Pause/Resume/Drain lifecycle must behave as in unbatched mode.
-  auto batches = Batches(Dataset("D1"), 4);
-  ASSERT_GE(batches.size(), 3u);
-
-  serve::SessionManagerConfig config =
-      ManagerConfig(1, 0, /*queue_capacity=*/2);
-  config.batch_encode = true;
-  serve::SessionManager manager(&system_->bundle, config);
-  ASSERT_TRUE(manager.Open("s").ok());
-  manager.Pause();
-
-  EXPECT_TRUE(manager.Submit("s", batches[0]).ok());
-  EXPECT_TRUE(manager.Submit("s", batches[1]).ok());
-  EXPECT_EQ(manager.QueueDepth(0), 2u);
-  EXPECT_EQ(manager.Submit("s", batches[2]).code(), StatusCode::kUnavailable);
-
-  manager.Resume();
-  manager.Drain();
-  EXPECT_EQ(manager.QueueDepth(0), 0u);
-  EXPECT_TRUE(manager.Submit("s", batches[2]).ok());
-  manager.FlushAll();
-
-  const serve::SessionManagerStats stats = manager.stats();
-  EXPECT_EQ(stats.submitted_batches, 3u);
-  EXPECT_EQ(stats.processed_batches, 3u);
 }
 
 TEST_F(ServeTest, BackpressureRejectsWithUnavailableThenRecovers) {

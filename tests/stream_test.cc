@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
 #include "common/rng.h"
 #include "common/string_util.h"
+#include "io/tensor_io.h"
 #include "stream/candidate_base.h"
 #include "stream/message.h"
 #include "stream/tweet_base.h"
@@ -159,6 +162,39 @@ TEST(TweetBaseTest, EvictOldestRetiresInArrivalOrder) {
   ASSERT_EQ(base.ids().size(), 3u);
   EXPECT_EQ(base.ids()[0], 12);
   EXPECT_EQ(base.ids()[2], 14);
+}
+
+TEST(TweetBaseTest, LoadRejectsMentionOutsideItsMessage) {
+  // The record checksum does not stop a crafted file, so Load itself must
+  // refuse a mention span that reaches past its message's tokens.
+  SentenceRecord rec;
+  rec.message = MakeMessage(7, "italy closes schools");
+  rec.message.tokens.resize(3);
+  DetectedMention mention;
+  mention.begin_token = 1;
+  mention.end_token = rec.message.tokens.size() + 1;
+  rec.mentions.push_back(mention);
+  TweetBase saved;
+  saved.Put(rec);
+  const std::string path =
+      std::string(::testing::TempDir()) + "/tweet_base_bad_span.bin";
+  {
+    io::TensorWriter writer(path);
+    ASSERT_TRUE(saved.Save(&writer).ok());
+    ASSERT_TRUE(writer.Finish().ok());
+  }
+
+  SentenceRecord kept;
+  kept.message = MakeMessage(1, "kept");
+  TweetBase target;
+  target.Put(kept);
+  io::TensorReader reader(path);
+  const Status s = target.Load(&reader);
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
+  EXPECT_NE(s.message().find("mention"), std::string::npos) << s.ToString();
+  ASSERT_EQ(target.ids(), std::vector<int64_t>{1});
+  EXPECT_EQ(target.Find(1)->message.text, "kept");
+  std::remove(path.c_str());
 }
 
 TEST(TweetBaseTest, MemoryUsageShrinksOnEviction) {

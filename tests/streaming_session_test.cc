@@ -11,6 +11,7 @@
 #include "common/scratch_arena.h"
 #include "common/thread_pool.h"
 #include "harness/experiment.h"
+#include "io/tensor_io.h"
 #include "stream/streaming_session.h"
 
 namespace nerglob {
@@ -269,6 +270,35 @@ TEST_F(StreamingSessionTest, RestoreRejectsCorruptCheckpoint) {
   EXPECT_FALSE(target.Restore(path).ok());
   EXPECT_EQ(target.batches_processed(), 0u);  // untouched by the failed load
   EXPECT_TRUE(target.Step(&source));          // still works
+  std::remove(path.c_str());
+}
+
+TEST_F(StreamingSessionTest, RestoreRejectsEmptyFinalizedSpan) {
+  // A crafted session record whose finalized span has begin == end: the
+  // checksum matches, so RestoreFrom must reject the span itself.
+  const std::string path =
+      std::string(::testing::TempDir()) + "/session_empty_span.bin";
+  {
+    io::TensorWriter writer(path);
+    writer.PutU64(1);  // batches
+    writer.PutU64(1);  // messages
+    writer.PutU32(0);  // flushed
+    writer.PutU64(1);  // finalized messages
+    writer.PutI64(42);
+    writer.PutU64(1);  // spans
+    writer.PutU64(2);  // begin_token
+    writer.PutU64(2);  // end_token
+    writer.PutU32(0);  // type
+    ASSERT_TRUE(writer.EndRecord(io::kTagSession).ok());
+    ASSERT_TRUE(writer.Finish().ok());
+  }
+  auto target = MakeSession(0);
+  const Status s = target.Restore(path);
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
+  EXPECT_NE(s.message().find("finalized span"), std::string::npos)
+      << s.ToString();
+  EXPECT_EQ(target.batches_processed(), 0u);
+  EXPECT_TRUE(target.finalized().empty());
   std::remove(path.c_str());
 }
 
