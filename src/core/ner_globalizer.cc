@@ -111,7 +111,7 @@ Status NerGlobalizer::Restore(io::TensorReader* reader) {
   // StreamState::Load is itself two-phase, so a corrupt state record
   // leaves this pipeline untouched; only the timing counters must wait
   // for it to succeed.
-  NERGLOB_RETURN_IF_ERROR(state_.Load(reader));
+  NERGLOB_RETURN_IF_ERROR(state_.Load(reader, embedder_->dim()));
   local_seconds_ = local_s;
   global_seconds_ = global_s;
   return Status::OK();

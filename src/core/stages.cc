@@ -298,10 +298,8 @@ void LocalEncode(const ModelView& view, StreamState& state, StageContext& ctx) {
   for (const stream::Message& message : *ctx.batch) {
     sentences.push_back(&message.tokens);
   }
-  // EncodeMany defaults dedup duplicate sentences within the batch and
-  // consult the process-wide lm::EncodeCache when enabled — both return
-  // the exact bytes a per-message recompute would, so the stage keeps the
-  // pipeline's bit-identity contract.
+  // One Encode per message, bitwise independent of batch composition, so
+  // the stage keeps the pipeline's bit-identity contract.
   ctx.encoded = view.model->EncodeMany(sentences);
 }
 

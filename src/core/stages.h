@@ -29,10 +29,10 @@ namespace nerglob::core::stages {
 /// one load-bearing property: **LocalEncode is the only stage that runs the
 /// expensive encoder forward, and it touches neither the StreamState nor
 /// the StageContext's cross-stage products** — its output is a pure
-/// function of (model, message tokens). That is what lets EncodeMany dedup
-/// repeated sentences and the process-wide lm::EncodeCache serve repeats
-/// (across batches and across sessions) with every downstream stage
-/// bitwise unaffected.
+/// function of (model, message tokens). That is what lets it run one
+/// ParallelFor lane per message, and lets a fleet of sessions share one
+/// const model, with every downstream stage bitwise unaffected by how
+/// messages are batched or scheduled.
 ///
 /// The issue's nominal signature takes `const ModelBundle&`; stages take a
 /// ModelView instead because NerGlobalizer also supports construction from

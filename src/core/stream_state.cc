@@ -5,7 +5,6 @@
 
 #include "common/string_util.h"
 #include "io/tensor_io.h"
-#include "lm/encode_cache.h"
 
 namespace nerglob::core {
 
@@ -20,10 +19,6 @@ PipelineMemoryUsage StreamState::MemoryUsage() const {
   }
   usage.total_bytes = usage.tweet_base_bytes + usage.candidate_base_bytes +
                       usage.trie_bytes + usage.embed_cache_bytes;
-  // Shared across sessions, so reported beside (not inside) total_bytes.
-  if (const lm::EncodeCache* cache = lm::EncodeCache::Global()) {
-    usage.global_encode_cache_bytes = cache->MemoryUsageBytes();
-  }
   return usage;
 }
 
@@ -97,7 +92,7 @@ Status StreamState::Save(io::TensorWriter* writer) const {
   return writer->EndRecord(io::kTagPipelineState);
 }
 
-Status StreamState::Load(io::TensorReader* reader) {
+Status StreamState::Load(io::TensorReader* reader, size_t dim) {
   StreamState restored;
   NERGLOB_RETURN_IF_ERROR(restored.tweet_base.Load(reader));
   NERGLOB_RETURN_IF_ERROR(restored.candidate_base.Load(reader));
@@ -209,6 +204,29 @@ Status StreamState::Load(io::TensorReader* reader) {
   restored.embed_cache_hits = static_cast<size_t>(hits);
   restored.embed_cache_misses = static_cast<size_t>(misses);
   NERGLOB_RETURN_IF_ERROR(reader->ExpectRecordEnd());
+
+  // The global stages pool token rows and copy mention rows assuming this
+  // width, so a mismatch must fail here rather than abort a later batch.
+  auto is_phrase_row = [dim](const Matrix& m) {
+    return m.rows() == 1 && m.cols() == dim;
+  };
+  for (const int64_t id : restored.tweet_base.ids()) {
+    const Matrix& emb = restored.tweet_base.Find(id)->token_embeddings;
+    if (emb.rows() > 0 && emb.cols() != dim) {
+      return fail("token embedding width");
+    }
+  }
+  for (const std::string& surface : restored.candidate_base.surfaces()) {
+    for (const stream::MentionRecord& m :
+         restored.candidate_base.Mentions(surface)) {
+      if (!is_phrase_row(m.local_embedding)) {
+        return fail("mention embedding width");
+      }
+    }
+  }
+  for (const auto& [key, emb] : restored.embed_cache) {
+    if (!is_phrase_row(emb)) return fail("embed-cache width");
+  }
 
   *this = std::move(restored);
   return Status::OK();

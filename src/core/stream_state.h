@@ -41,11 +41,6 @@ struct PipelineMemoryUsage {
   size_t candidate_base_bytes = 0;
   size_t trie_bytes = 0;
   size_t embed_cache_bytes = 0;
-  /// Footprint of the process-wide lm::EncodeCache (0 when disabled).
-  /// Reported for the operator's whole-process picture but NOT summed
-  /// into total_bytes: the cache is shared, so adding it to every
-  /// session's total would count it once per live session.
-  size_t global_encode_cache_bytes = 0;
   size_t total_bytes = 0;
 };
 
@@ -111,10 +106,11 @@ struct StreamState {
   /// (tweet base, candidate base, trie, pipeline bookkeeping).
   Status Save(io::TensorWriter* writer) const;
 
-  /// Restores a state saved with Save. Two-phase: `*this` is replaced only
-  /// once every record validates, so a corrupt checkpoint leaves the
-  /// state untouched.
-  Status Load(io::TensorReader* reader);
+  /// Restores a state saved with Save whose embeddings are `dim` wide (the
+  /// phrase embedder's width). Two-phase: `*this` is replaced only once
+  /// every record validates, so a corrupt checkpoint leaves the state
+  /// untouched.
+  Status Load(io::TensorReader* reader, size_t dim);
 };
 
 }  // namespace nerglob::core

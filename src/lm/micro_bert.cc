@@ -1,11 +1,8 @@
 #include "lm/micro_bert.h"
 
 #include <algorithm>
-#include <atomic>
-#include <unordered_map>
 
 #include "common/check.h"
-#include "lm/encode_cache.h"
 #include "common/metrics.h"
 #include "common/string_util.h"
 #include "common/thread_pool.h"
@@ -36,18 +33,12 @@ std::string LookupForm(const text::Token& token) {
   }
 }
 
-/// Process-wide serial for cache identities. Starts at 1 so 0 never names
-/// a live model (a default EncodeKey can't alias one).
-uint64_t NextModelVersion() {
-  static std::atomic<uint64_t> counter{0};
-  return counter.fetch_add(1, std::memory_order_relaxed) + 1;
-}
-
 }  // namespace
 
 MicroBert::MicroBert(const MicroBertConfig& config, uint64_t seed)
-    : config_(config), model_version_(NextModelVersion()),
-      subwords_(config.subword_buckets), dropout_rng_(seed ^ 0x9e37ULL) {
+    : config_(config),
+      subwords_(config.subword_buckets),
+      dropout_rng_(seed ^ 0x9e37ULL) {
   Rng rng(seed);
   subword_table_ = std::make_unique<nn::Embedding>(config.subword_buckets,
                                                    config.d_model, &rng);
@@ -125,53 +116,10 @@ MicroBert::ForwardResult MicroBert::Forward(
   return {embeddings, logits};
 }
 
-void MicroBert::BumpModelVersion() { model_version_ = NextModelVersion(); }
-
-void MicroBert::BuildEncodeKey(const std::vector<text::Token>& tokens,
-                               EncodeKey* key) const {
-  const size_t t_len = std::min(tokens.size(), config_.max_seq_len);
-  key->model_id = model_version_;
-  key->seq.clear();
-  key->seq.reserve(1 + 3 * t_len);
-  // Total count first: bio labels pad to tokens.size(), so two sequences
-  // equal up to max_seq_len but truncated differently must not alias.
-  key->seq.push_back(static_cast<uint32_t>(tokens.size()));
-  std::vector<int> ids;  // reused across tokens
-  std::string marked;
-  for (size_t t = 0; t < t_len; ++t) {
-    subwords_.SubwordIdsInto(LookupForm(tokens[t]), &ids, &marked);
-    key->seq.push_back(static_cast<uint32_t>(tokens[t].kind));
-    key->seq.push_back(static_cast<uint32_t>(ids.size()));
-    for (const int id : ids) key->seq.push_back(static_cast<uint32_t>(id));
-  }
-}
-
-EncodeResult MicroBert::EncodeThroughCache(
-    const std::vector<text::Token>& tokens, const EncodeKey& key,
-    EncodeCache* cache) const {
-  // The nested lm_encode span (miss path only) reports its time to this
-  // span's children, so encode_cache self-time is pure cache overhead.
-  static const trace::TraceStage kStage("encode_cache");
-  trace::TraceSpan span(kStage);
-  EncodeResult out;
-  if (cache->Lookup(key, &out)) return out;
-  out = EncodeUncached(tokens);
-  cache->Insert(key, out);
-  return out;
-}
-
 EncodeResult MicroBert::Encode(const std::vector<text::Token>& tokens) const {
-  EncodeCache* const cache = EncodeCache::Global();
-  if (cache == nullptr) return EncodeUncached(tokens);
-  EncodeKey key;
-  BuildEncodeKey(tokens, &key);
-  return EncodeThroughCache(tokens, key, cache);
-}
-
-EncodeResult MicroBert::EncodeUncached(
-    const std::vector<text::Token>& tokens) const {
-  // Runs on pool workers inside LocalNer::ProcessBatch — the span nests
-  // under "local_ner" only on the caller thread, but aggregates globally.
+  // Runs on pool workers inside the LocalEncode stage's EncodeMany — the
+  // span nests under "local_ner" only on the caller thread, but aggregates
+  // globally.
   static const trace::TraceStage kStage("lm_encode");
   trace::TraceSpan span(kStage);
   if (metrics::Enabled()) {
@@ -217,68 +165,12 @@ EncodeResult MicroBert::EncodeUncached(
 
 std::vector<EncodeResult> MicroBert::EncodeMany(
     const std::vector<const std::vector<text::Token>*>& sentences) const {
-  return EncodeMany(sentences, EncodeOptions{});
-}
-
-std::vector<EncodeResult> MicroBert::EncodeMany(
-    const std::vector<const std::vector<text::Token>*>& sentences,
-    const EncodeOptions& options) const {
   std::vector<EncodeResult> out(sentences.size());
-  EncodeCache* const cache =
-      options.use_cache ? EncodeCache::Global() : nullptr;
-  if (!options.dedup && cache == nullptr) {
-    // Reference path: one full encode per lane, exactly the pre-cache
-    // behavior.
-    ParallelFor(0, sentences.size(), /*grain=*/1, [&](size_t i) {
-      if (sentences[i] != nullptr && !sentences[i]->empty()) {
-        out[i] = EncodeUncached(*sentences[i]);
-      }
-    });
-    return out;
-  }
-
-  // Key every sentence serially (cheap re-tokenization, no model math),
-  // electing the first occurrence of each distinct key as representative.
-  constexpr size_t kSkip = static_cast<size_t>(-1);
-  std::vector<EncodeKey> keys(sentences.size());
-  std::vector<size_t> rep(sentences.size(), kSkip);
-  std::vector<size_t> uniques;
-  uniques.reserve(sentences.size());
-  {
-    std::unordered_map<EncodeKey, size_t, EncodeKeyHash> first;
-    first.reserve(sentences.size());
-    for (size_t i = 0; i < sentences.size(); ++i) {
-      if (sentences[i] == nullptr || sentences[i]->empty()) continue;
-      if (!options.dedup) {
-        rep[i] = i;
-        uniques.push_back(i);
-        continue;
-      }
-      BuildEncodeKey(*sentences[i], &keys[i]);
-      const auto [it, inserted] = first.emplace(keys[i], i);
-      rep[i] = it->second;
-      if (inserted) uniques.push_back(i);
+  ParallelFor(0, sentences.size(), /*grain=*/1, [&](size_t i) {
+    if (sentences[i] != nullptr && !sentences[i]->empty()) {
+      out[i] = Encode(*sentences[i]);
     }
-  }
-
-  // Encode each distinct sentence once, one per ParallelFor lane. Every
-  // representative runs the full per-sentence op sequence independently,
-  // so dedup preserves the batch-composition invariance: copies are the
-  // bytes Encode would have produced for each duplicate slot.
-  ParallelFor(0, uniques.size(), /*grain=*/1, [&](size_t j) {
-    const size_t i = uniques[j];
-    if (cache == nullptr) {
-      out[i] = EncodeUncached(*sentences[i]);
-      return;
-    }
-    if (!options.dedup) BuildEncodeKey(*sentences[i], &keys[i]);
-    out[i] = EncodeThroughCache(*sentences[i], keys[i], cache);
   });
-
-  // Fan copies out to duplicate slots.
-  for (size_t i = 0; i < sentences.size(); ++i) {
-    if (rep[i] != kSkip && rep[i] != i) out[i] = out[rep[i]];
-  }
   return out;
 }
 
@@ -339,9 +231,6 @@ double FineTuneForNer(MicroBert* model, std::vector<LabeledSentence> train,
     last_epoch_loss = epoch_loss / static_cast<double>(train.size());
     (void)steps;
   }
-  // The optimizer rewrote the parameter bytes in place: retire the old
-  // cache identity so stale EncodeCache entries become unreachable.
-  model->BumpModelVersion();
   return last_epoch_loss;
 }
 
@@ -407,7 +296,6 @@ double PretrainMlm(MicroBert* model,
     }
     last_epoch_loss = counted > 0 ? epoch_loss / static_cast<double>(counted) : 0.0;
   }
-  model->BumpModelVersion();  // parameters mutated in place (see FineTuneForNer)
   return last_epoch_loss;
 }
 

@@ -12,9 +12,6 @@
 
 namespace nerglob::lm {
 
-class EncodeCache;
-struct EncodeKey;
-
 /// Configuration for the MicroBert encoder. Defaults are sized for CPU
 /// experiments; see DESIGN.md for the BERTweet substitution rationale.
 struct MicroBertConfig {
@@ -40,19 +37,6 @@ struct EncodeResult {
   std::vector<int> bio_labels;
 };
 
-/// Per-call knobs for EncodeMany. The defaults are what every production
-/// caller wants; benches and tests use the explicit overload to time or
-/// verify the reference (dedup-off / cache-off) path.
-struct EncodeOptions {
-  /// Encode each distinct (key-equal) sentence in the batch once and fan
-  /// copies out to its duplicates. Pays off even with the cache disabled —
-  /// retweet-heavy batches routinely carry duplicate sentences.
-  bool dedup = true;
-  /// Consult the process-wide EncodeCache (a no-op unless
-  /// NERGLOB_ENCODE_CACHE_MB enables one).
-  bool use_cache = true;
-};
-
 /// A from-scratch transformer encoder with a BIO token-classification head:
 /// hashed-subword input embeddings + learned positions + token-kind
 /// embeddings, `num_layers` pre-LN encoder layers, a final LayerNorm, and a
@@ -75,9 +59,7 @@ class MicroBert : public nn::Module {
   /// outputs are bit-identical to the tape values while steady-state
   /// streaming performs no per-message heap allocation for activations.
   /// Thread-safe: the forward pass only reads parameters and each thread
-  /// owns its arena. Consults the process-wide EncodeCache when one is
-  /// enabled (NERGLOB_ENCODE_CACHE_MB > 0); a hit returns a copy of the
-  /// cached bytes, bit-identical to a recompute.
+  /// owns its arena.
   EncodeResult Encode(const std::vector<text::Token>& tokens) const;
 
   /// Batched entry point (the pipeline's LocalEncode stage): encodes each
@@ -87,37 +69,15 @@ class MicroBert : public nn::Module {
   /// results are bitwise independent of batch composition: any
   /// partition/permutation of a workload yields the same per-sentence
   /// bytes as calling Encode on it alone. Null/empty entries are left as
-  /// default EncodeResult. Results keep input order.
-  ///
-  /// Runs with EncodeOptions defaults: identical sentences within the
-  /// batch are encoded once (copies fanned out — bitwise identical by the
-  /// batch-composition invariance above) and the process-wide EncodeCache
-  /// is consulted when enabled.
+  /// default EncodeResult. Results keep input order. A sentence repeated
+  /// across slots is encoded once per slot: every cross-message effect
+  /// belongs to the global phase, not to the encoder.
   std::vector<EncodeResult> EncodeMany(
       const std::vector<const std::vector<text::Token>*>& sentences) const;
-
-  /// As above with explicit per-call knobs. With dedup and the cache both
-  /// off this is exactly the pre-cache per-lane path (byte-for-byte the
-  /// status quo) — benches time it as the reference.
-  std::vector<EncodeResult> EncodeMany(
-      const std::vector<const std::vector<text::Token>*>& sentences,
-      const EncodeOptions& options) const;
 
   std::vector<ag::Var> Parameters() const override;
 
   const MicroBertConfig& config() const { return config_; }
-
-  /// Serial naming this instance's current parameter bytes — the
-  /// `model_id` half of every EncodeKey. Process-unique and refreshed on
-  /// every in-place mutation, so cached entries from older bytes (or any
-  /// other instance) can never be served.
-  uint64_t model_version() const { return model_version_; }
-
-  /// Gives the encoder a fresh cache identity. The training entry points
-  /// (FineTuneForNer, PretrainMlm) call this after mutating parameters in
-  /// place; any other code that writes parameter bytes directly must too,
-  /// or the process-wide EncodeCache could serve pre-mutation results.
-  void BumpModelVersion();
 
  private:
   /// Builds the (T, d) input embedding matrix for a token sequence.
@@ -130,23 +90,7 @@ class MicroBert : public nn::Module {
   void EmbedTokensInto(const std::vector<text::Token>& tokens,
                        Matrix* x) const;
 
-  /// The always-compute body of Encode (scratch-arena forward pass);
-  /// cache hits bypass it, so `lm_encode` spans and `lm.tokens_total`
-  /// count only real encoder work.
-  EncodeResult EncodeUncached(const std::vector<text::Token>& tokens) const;
-
-  /// Flattens everything the Encode output bits depend on into `*key`
-  /// (see EncodeKey in encode_cache.h for the layout).
-  void BuildEncodeKey(const std::vector<text::Token>& tokens,
-                      EncodeKey* key) const;
-
-  /// Lookup-or-compute-and-insert under the `encode_cache` trace span.
-  EncodeResult EncodeThroughCache(const std::vector<text::Token>& tokens,
-                                  const EncodeKey& key,
-                                  EncodeCache* cache) const;
-
   MicroBertConfig config_;
-  uint64_t model_version_;
   text::HashedSubwordVocab subwords_;
   std::unique_ptr<nn::Embedding> subword_table_;
   std::unique_ptr<nn::Embedding> position_table_;

@@ -83,11 +83,9 @@ struct SessionManagerStats {
 /// replay of the same batch sequence (pinned by serve_test and the CI
 /// serve-stress TSan soak), regardless of shard count or co-tenants.
 ///
-/// Duplication across sessions (retweets of one story reaching many
-/// tenants) is served by the process-wide lm::EncodeCache when
-/// NERGLOB_ENCODE_CACHE_MB > 0: every shard worker's encode consults it,
-/// and a hit returns the exact bytes a recompute would
-/// (docs/ARCHITECTURE.md §9.2).
+/// Sessions share the const bundle and nothing else: a sentence repeated
+/// across tenants (retweets of one story) is encoded once per session
+/// that sees it.
 ///
 /// Backpressure: Submit never blocks. A shard at its high watermark (or
 /// hard capacity) rejects with Status::Unavailable and stays rejecting

@@ -172,8 +172,10 @@ Status TweetBase::Load(io::TensorReader* reader) {
     SentenceRecord rec;
     if (!GetMessage(reader, &rec.message)) return fail("message");
     if (!reader->GetMatrix(&rec.token_embeddings)) return fail("embeddings");
+    // One label per token, as Encode pads them: eviction decodes these
+    // labels into spans over the message's tokens.
     uint64_t n = 0;
-    if (!reader->GetU64(&n) || n > reader->RemainingInRecord()) {
+    if (!reader->GetU64(&n) || n != rec.message.tokens.size()) {
       return fail("bio count");
     }
     rec.local_bio.resize(n);

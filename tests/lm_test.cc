@@ -143,19 +143,43 @@ void ExpectSameResult(const EncodeResult& a, const EncodeResult& b,
   EXPECT_EQ(a.bio_labels, b.bio_labels) << "sentence " << index;
 }
 
+/// A duplication-heavy batch in the two shapes the serve layer produces:
+/// aliased pointers (several slots share one sentence object, as when one
+/// retweet fans out within a session's batch) and distinct-but-equal
+/// copies (equal token vectors owned by different messages). Returns
+/// pointers into `corpus`/`copies`.
+std::vector<const std::vector<text::Token>*> DuplicatedBatch(
+    const std::vector<std::vector<text::Token>>& corpus,
+    std::vector<std::vector<text::Token>>* copies) {
+  copies->clear();
+  copies->reserve(corpus.size());  // no reallocation: pointers stay valid
+  std::vector<const std::vector<text::Token>*> sentences;
+  for (size_t i = 0; i < corpus.size(); ++i) {
+    sentences.push_back(&corpus[i]);
+    sentences.push_back(&corpus[i]);  // aliased duplicate
+    copies->push_back(corpus[i]);
+    sentences.push_back(&copies->back());  // equal-but-distinct duplicate
+  }
+  return sentences;
+}
+
 TEST(EncodeManyTest, MatchesPerSentenceEncodeBitwise) {
   // The batch-composition-independence contract: EncodeMany must equal a
-  // per-sentence Encode loop bit for bit — this is what lets dedup and the
-  // encode cache replay one sentence's bytes for another without
-  // perturbing any stream.
+  // per-sentence Encode loop bit for bit, for a batch of distinct
+  // sentences and for one full of aliased and equal-but-distinct
+  // duplicates alike.
   MicroBert model(TinyConfig(), 40);
   const auto corpus = ManyCorpus();
-  std::vector<const std::vector<text::Token>*> sentences;
-  for (const auto& s : corpus) sentences.push_back(&s);
-  const auto batched = model.EncodeMany(sentences);
-  ASSERT_EQ(batched.size(), corpus.size());
-  for (size_t i = 0; i < corpus.size(); ++i) {
-    ExpectSameResult(batched[i], model.Encode(corpus[i]), i);
+  std::vector<const std::vector<text::Token>*> distinct;
+  for (const auto& s : corpus) distinct.push_back(&s);
+  std::vector<std::vector<text::Token>> copies;
+  const auto duplicated = DuplicatedBatch(corpus, &copies);
+  for (const auto& sentences : {distinct, duplicated}) {
+    const auto batched = model.EncodeMany(sentences);
+    ASSERT_EQ(batched.size(), sentences.size());
+    for (size_t i = 0; i < sentences.size(); ++i) {
+      ExpectSameResult(batched[i], model.Encode(*sentences[i]), i);
+    }
   }
 }
 
@@ -209,100 +233,17 @@ TEST(EncodeManyTest, NullAndEmptySentencesYieldDefaultResults) {
   EXPECT_EQ(results[0].embeddings.rows(), 0u);
   EXPECT_EQ(results[1].bio_labels.size(), 0u);
   ExpectSameResult(results[2], model.Encode(tokens), 2);
-}
 
-/// A duplication-heavy batch in the two shapes the serve layer produces:
-/// aliased pointers (several slots share one sentence object, as when one
-/// retweet fans out within a session's batch) and distinct-but-equal
-/// copies (equal token vectors owned by different messages). Returns pointers into `corpus`/`copies`.
-std::vector<const std::vector<text::Token>*> DuplicatedBatch(
-    const std::vector<std::vector<text::Token>>& corpus,
-    std::vector<std::vector<text::Token>>* copies) {
-  copies->clear();
-  copies->reserve(corpus.size());  // no reallocation: pointers stay valid
-  std::vector<const std::vector<text::Token>*> sentences;
-  for (size_t i = 0; i < corpus.size(); ++i) {
-    sentences.push_back(&corpus[i]);
-    sentences.push_back(&corpus[i]);  // aliased duplicate
-    copies->push_back(corpus[i]);
-    sentences.push_back(&copies->back());  // equal-but-distinct duplicate
-  }
-  return sentences;
-}
-
-TEST(EncodeManyTest, DedupMatchesReferencePathBitwise) {
-  // Intra-batch dedup (the default) encodes each distinct sentence once
-  // and fans copies out; every slot must equal the no-dedup reference
-  // path — and a plain per-sentence Encode — bit for bit.
-  MicroBert model(TinyConfig(), 44);
-  const auto corpus = ManyCorpus();
-  std::vector<std::vector<text::Token>> copies;
-  const auto sentences = DuplicatedBatch(corpus, &copies);
-  EncodeOptions reference;
-  reference.dedup = false;
-  reference.use_cache = false;
-  const auto expected = model.EncodeMany(sentences, reference);
-  const auto deduped = model.EncodeMany(sentences);
-  ASSERT_EQ(deduped.size(), expected.size());
-  for (size_t i = 0; i < expected.size(); ++i) {
-    ExpectSameResult(deduped[i], expected[i], i);
-    ExpectSameResult(deduped[i], model.Encode(*sentences[i]), i);
-  }
-}
-
-TEST(EncodeManyTest, DedupPartitionInvariant) {
-  // Splitting a duplicate-laden batch at any point changes which slots
-  // share a representative (duplicates split across calls are encoded
-  // independently) but never the bits.
-  MicroBert model(TinyConfig(), 45);
-  const auto corpus = ManyCorpus();
-  std::vector<std::vector<text::Token>> copies;
-  const auto sentences = DuplicatedBatch(corpus, &copies);
-  const auto whole = model.EncodeMany(sentences);
-  for (size_t split = 0; split <= sentences.size(); ++split) {
-    const auto head = model.EncodeMany(
-        {sentences.begin(), sentences.begin() + split});
-    const auto tail = model.EncodeMany(
-        {sentences.begin() + split, sentences.end()});
-    for (size_t i = 0; i < split; ++i) {
-      ExpectSameResult(head[i], whole[i], i);
-    }
-    for (size_t i = split; i < sentences.size(); ++i) {
-      ExpectSameResult(tail[i - split], whole[i], i);
-    }
-  }
-}
-
-TEST(EncodeManyTest, DedupPermutationInvariant) {
-  // Reversing the batch changes every representative election (the last
-  // duplicate becomes the first occurrence) yet the bits per slot are
-  // unchanged.
-  MicroBert model(TinyConfig(), 46);
-  const auto corpus = ManyCorpus();
-  std::vector<std::vector<text::Token>> copies;
-  const auto sentences = DuplicatedBatch(corpus, &copies);
-  const auto forward = model.EncodeMany(sentences);
-  std::vector<const std::vector<text::Token>*> reversed(sentences.rbegin(),
-                                                        sentences.rend());
-  const auto backward = model.EncodeMany(reversed);
-  ASSERT_EQ(backward.size(), forward.size());
-  for (size_t i = 0; i < forward.size(); ++i) {
-    ExpectSameResult(backward[forward.size() - 1 - i], forward[i], i);
-  }
-}
-
-TEST(EncodeManyTest, DedupHandlesNullAndEmptyAmongDuplicates) {
-  MicroBert model(TinyConfig(), 47);
-  const std::vector<text::Token> empty;
-  const auto tokens = Toks("italy reports new cases");
-  const auto results =
+  // Null and empty slots among duplicates of one sentence.
+  const auto mixed =
       model.EncodeMany({nullptr, &tokens, &empty, &tokens, nullptr});
-  ASSERT_EQ(results.size(), 5u);
-  EXPECT_EQ(results[0].bio_labels.size(), 0u);
-  EXPECT_EQ(results[2].bio_labels.size(), 0u);
-  EXPECT_EQ(results[4].bio_labels.size(), 0u);
-  ExpectSameResult(results[1], model.Encode(tokens), 1);
-  ExpectSameResult(results[3], model.Encode(tokens), 3);
+  ASSERT_EQ(mixed.size(), 5u);
+  for (const size_t i : {0u, 2u, 4u}) {
+    EXPECT_EQ(mixed[i].bio_labels.size(), 0u) << "slot " << i;
+    EXPECT_EQ(mixed[i].embeddings.rows(), 0u) << "slot " << i;
+  }
+  ExpectSameResult(mixed[1], model.Encode(tokens), 1);
+  ExpectSameResult(mixed[3], model.Encode(tokens), 3);
 }
 
 TEST(FineTuneTest, LearnsTinyCorpus) {

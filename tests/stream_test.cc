@@ -170,6 +170,7 @@ TEST(TweetBaseTest, LoadRejectsMentionOutsideItsMessage) {
   SentenceRecord rec;
   rec.message = MakeMessage(7, "italy closes schools");
   rec.message.tokens.resize(3);
+  rec.local_bio.assign(3, text::kBioOutside);
   DetectedMention mention;
   mention.begin_token = 1;
   mention.end_token = rec.message.tokens.size() + 1;

@@ -13,6 +13,7 @@
 #include "harness/experiment.h"
 #include "io/tensor_io.h"
 #include "stream/streaming_session.h"
+#include "text/tokenizer.h"
 
 namespace nerglob {
 namespace {
@@ -40,6 +41,61 @@ class StreamingSessionTest : public ::testing::Test {
   std::vector<stream::Message> Dataset(const std::string& name) const {
     data::StreamGenerator gen(&system_->kb_eval);
     return gen.Generate(data::MakeDatasetSpec(name, 0.08));
+  }
+
+  size_t EmbeddingDim() const { return system_->bundle.embedder().dim(); }
+
+  /// One message record as ingestion stores it: one d-wide embedding row
+  /// and one BIO label per token.
+  stream::SentenceRecord ValidRecord() const {
+    stream::SentenceRecord rec;
+    rec.message.id = 7;
+    rec.message.text = "italy closes schools";
+    rec.message.tokens = text::Tokenizer().Tokenize(rec.message.text);
+    rec.token_embeddings =
+        Matrix(rec.message.tokens.size(), EmbeddingDim(), 0.5f);
+    rec.local_bio.assign(rec.message.tokens.size(), text::kBioOutside);
+    return rec;
+  }
+
+  /// Writes a session checkpoint around `state` record by record, in the
+  /// layout StreamingSession::Checkpoint produces for a fresh unbounded
+  /// session, so a test can restore state no pipeline would write.
+  void WriteCheckpoint(const std::string& path,
+                       const core::StreamState& state) const {
+    const core::NerGlobalizerConfig config =
+        core::DefaultPipelineConfig(system_->bundle);
+    io::TensorWriter writer(path);
+    writer.PutU64(0);  // batches
+    writer.PutU64(0);  // messages
+    writer.PutU32(0);  // flushed
+    writer.PutU64(0);  // finalized messages
+    ASSERT_TRUE(writer.EndRecord(io::kTagSession).ok());
+    writer.PutString(system_->bundle.Fingerprint());
+    writer.PutF32(config.cluster_threshold);
+    writer.PutU64(config.max_mention_span);
+    writer.PutU64(/*window_messages=*/0);
+    writer.PutU32(config.incremental_refresh ? 1 : 0);
+    writer.PutF64(0.0);  // local seconds
+    writer.PutF64(0.0);  // global seconds
+    ASSERT_TRUE(writer.EndRecord(io::kTagCheckpoint).ok());
+    ASSERT_TRUE(state.Save(&writer).ok());
+    ASSERT_TRUE(writer.Finish().ok());
+  }
+
+  /// Restores `path` into a fresh session and expects an InvalidArgument
+  /// naming `what` that leaves the session untouched and still usable.
+  void ExpectRestoreRejects(const std::string& path,
+                            const std::string& what) const {
+    auto target = MakeSession(0);
+    const Status s = target.Restore(path);
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
+    EXPECT_NE(s.message().find(what), std::string::npos) << s.ToString();
+    EXPECT_EQ(target.batches_processed(), 0u);
+    EXPECT_TRUE(target.finalized().empty());
+    auto messages = Dataset("D1");
+    stream::StreamSource source(messages, 32);
+    EXPECT_TRUE(target.Step(&source));
   }
 
   static harness::TrainedSystem* system_;
@@ -299,6 +355,75 @@ TEST_F(StreamingSessionTest, RestoreRejectsEmptyFinalizedSpan) {
       << s.ToString();
   EXPECT_EQ(target.batches_processed(), 0u);
   EXPECT_TRUE(target.finalized().empty());
+  std::remove(path.c_str());
+}
+
+TEST_F(StreamingSessionTest, RestoreRejectsBioLabelsNotOnePerToken) {
+  // Eviction decodes a record's stored labels into spans over its tokens,
+  // so a record with fewer labels than tokens (or more) must not load.
+  const std::string path =
+      std::string(::testing::TempDir()) + "/session_bio_count.bin";
+  core::StreamState state;
+  state.tweet_base.Put(ValidRecord());
+  WriteCheckpoint(path, state);
+  ASSERT_TRUE(MakeSession(0).Restore(path).ok());  // the fixture is valid
+
+  const size_t tokens = ValidRecord().message.tokens.size();
+  for (const size_t labels : {tokens - 1, tokens + 1}) {
+    stream::SentenceRecord rec = ValidRecord();
+    rec.local_bio.resize(labels, text::kBioOutside);
+    core::StreamState bad;
+    bad.tweet_base.Put(std::move(rec));
+    WriteCheckpoint(path, bad);
+    SCOPED_TRACE(labels);
+    ExpectRestoreRejects(path, "bio count");
+  }
+  std::remove(path.c_str());
+}
+
+TEST_F(StreamingSessionTest, RestoreRejectsEmbeddingOfWrongWidth) {
+  // Token embeddings must be d wide and every mention or embed-cache
+  // embedding exactly 1 x d: the global stages would otherwise abort the
+  // process (or copy out of bounds) on the next batch after restore.
+  const std::string path =
+      std::string(::testing::TempDir()) + "/session_width.bin";
+  const size_t d = EmbeddingDim();
+  const core::SpanKey key{7, 0, 1};
+  auto make_state = [&](size_t token_cols, Matrix mention, Matrix cached) {
+    core::StreamState state;
+    stream::SentenceRecord rec = ValidRecord();
+    rec.token_embeddings = Matrix(rec.message.tokens.size(), token_cols);
+    state.tweet_base.Put(std::move(rec));
+    stream::MentionRecord m;
+    m.message_id = key.message_id;
+    m.begin_token = key.begin;
+    m.end_token = key.end;
+    m.local_embedding = std::move(mention);
+    state.candidate_base.AddMention("italy", std::move(m));
+    state.embed_cache.emplace(key, std::move(cached));
+    return state;
+  };
+
+  WriteCheckpoint(path, make_state(d, Matrix(1, d), Matrix(1, d)));
+  ASSERT_TRUE(MakeSession(0).Restore(path).ok());  // the fixture is valid
+
+  struct Case {
+    const char* what;
+    core::StreamState state;
+  };
+  Case cases[] = {
+      {"token embedding width", make_state(d + 1, Matrix(1, d), Matrix(1, d))},
+      {"mention embedding width",
+       make_state(d, Matrix(1, d - 1), Matrix(1, d))},
+      {"mention embedding width", make_state(d, Matrix(2, d), Matrix(1, d))},
+      {"mention embedding width", make_state(d, Matrix(), Matrix(1, d))},
+      {"embed-cache width", make_state(d, Matrix(1, d), Matrix(1, d + 1))},
+  };
+  for (const Case& c : cases) {
+    WriteCheckpoint(path, c.state);
+    SCOPED_TRACE(c.what);
+    ExpectRestoreRejects(path, c.what);
+  }
   std::remove(path.c_str());
 }
 
